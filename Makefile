@@ -47,12 +47,13 @@ ingest-smoke:
 	bash scripts/ingest_smoke.sh
 
 # Chaos acceptance: replay a fixed-seed load schedule against the serving
-# stack with a seeded fault-injection schedule active (primary-scorer
-# failures, corrupt model artifacts on the reload path) and assert the
-# failure-hardening invariants — unflagged answers byte-identical to
-# direct Infer, last-known-good survives failed swaps, the breaker opens
-# and recovers, every request is answered. Fully deterministic; see
-# internal/serve/chaos_test.go and DESIGN.md "Failure model".
+# stack with a seeded fault-injection schedule active (corrupt model
+# artifacts and failed table builds on the swap path, failed check-in
+# writes) and assert the failure-hardening invariants — every answer
+# byte-identical to direct Infer of the model it names, last-known-good
+# survives failed swaps, faulted writes apply nothing, every request is
+# answered. Fully deterministic; see internal/serve/chaos_test.go and
+# DESIGN.md "Failure model".
 chaos:
 	$(GO) test -run 'TestChaosAcceptance' -count=1 -timeout 10m ./internal/serve/
 

@@ -1,7 +1,7 @@
 // The serve subcommand: a long-running HTTP inference server over a model
 // previously written with -save-model. See internal/serve for the
-// subsystem (request coalescing, admission control, hot model swap) and
-// DESIGN.md "Serving architecture" for the design.
+// subsystem (per-dataset decision tables, admission control, hot model
+// swap) and DESIGN.md "Serving architecture" for the design.
 //
 // Usage:
 //
@@ -39,20 +39,10 @@ type serveFlags struct {
 	listen       string
 	modelPath    string
 	datasets     map[string]string // name -> check-in CSV path
-	batch        int
-	maxWait      time.Duration
 	maxInFlight  int
-	queueDepth   int
-	timeout      time.Duration
 	maxPairs     int
-	warm         bool
 	drainTimeout time.Duration
-	scoreDelay   time.Duration
-
-	breakerThreshold int
-	breakerCooldown  time.Duration
-	noFallback       bool
-	faults           string
+	faults       string
 
 	ingestDir       string
 	ingestData      string
@@ -83,19 +73,10 @@ func parseServeFlags(args []string) (*serveFlags, error) {
 		sf.datasets[name] = path
 		return nil
 	})
-	fs.IntVar(&sf.batch, "batch", 64, "coalescer flush size (pairs)")
-	fs.DurationVar(&sf.maxWait, "max-wait", 2*time.Millisecond, "coalescer flush deadline")
 	fs.IntVar(&sf.maxInFlight, "max-inflight", 64, "max concurrently admitted requests")
-	fs.IntVar(&sf.queueDepth, "queue", 1024, "coalescer queue depth (pairs)")
-	fs.DurationVar(&sf.timeout, "timeout", 10*time.Second, "per-request budget")
 	fs.IntVar(&sf.maxPairs, "max-pairs", 256, "max pairs per request")
-	fs.BoolVar(&sf.warm, "warm", true, "build every dataset's scoring session before accepting traffic")
 	fs.DurationVar(&sf.drainTimeout, "drain-timeout", 30*time.Second, "graceful shutdown drain budget")
-	fs.DurationVar(&sf.scoreDelay, "score-delay", 0, "artificial per-batch scoring delay (load-test hook; keep 0 in production)")
-	fs.IntVar(&sf.breakerThreshold, "breaker-threshold", 5, "consecutive scoring failures before a dataset's circuit breaker opens (negative disables)")
-	fs.DurationVar(&sf.breakerCooldown, "breaker-cooldown", 5*time.Second, "open-breaker cooldown before a half-open probe")
-	fs.BoolVar(&sf.noFallback, "no-fallback", false, "disable the degraded co-location fallback tier (open breaker answers 503 instead)")
-	fs.StringVar(&sf.faults, "faults", "", "seeded fault-injection schedule, e.g. 'flush:err@0-2;warm:delay=50ms@1' (chaos-test hook; keep empty in production)")
+	fs.StringVar(&sf.faults, "faults", "", "seeded fault-injection schedule, e.g. 'warm:err@1-2;ingest:delay=50ms@0' (chaos-test hook; keep empty in production)")
 	fs.StringVar(&sf.ingestDir, "ingest-dir", "", "segment-log directory; enables POST /v1/checkins streaming ingestion")
 	fs.StringVar(&sf.ingestData, "ingest-data", "", "dataset name the ingestor feeds (default: the sole -data)")
 	fs.IntVar(&sf.maxCheckIns, "max-checkins", 1024, "max check-in records per POST /v1/checkins batch")
@@ -209,17 +190,12 @@ func runServe(args []string, out io.Writer) error {
 			sf.ingestDir, st.Streamed, st.LastSeq)
 	}
 
+	// New builds every dataset's decision table (one reference inference
+	// per dataset) before the server accepts traffic.
+	start := time.Now()
 	srv, err := serve.New(serve.Config{
 		MaxInFlight:           sf.maxInFlight,
-		QueueDepth:            sf.queueDepth,
-		BatchSize:             sf.batch,
-		MaxWait:               sf.maxWait,
-		RequestTimeout:        sf.timeout,
 		MaxPairsPerRequest:    sf.maxPairs,
-		ScoreDelay:            sf.scoreDelay,
-		BreakerThreshold:      sf.breakerThreshold,
-		BreakerCooldown:       sf.breakerCooldown,
-		DisableFallback:       sf.noFallback,
 		Faults:                faults,
 		Ingest:                ing,
 		MaxCheckInsPerRequest: sf.maxCheckIns,
@@ -229,6 +205,7 @@ func runServe(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	fmt.Fprintf(out, "built %d dataset decision table(s) in %.1fs\n", len(datasets), time.Since(start).Seconds())
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -246,14 +223,6 @@ func runServe(args []string, out io.Writer) error {
 			fmt.Fprintf(out, "retrain worker armed: threshold %.2f, interval %s, cooldown %s\n",
 				sf.driftThreshold, sf.retrainInterval, sf.retrainCooldown)
 		}
-	}
-
-	if sf.warm {
-		start := time.Now()
-		if err := srv.Warm(ctx); err != nil {
-			return fmt.Errorf("warm sessions: %w", err)
-		}
-		fmt.Fprintf(out, "warmed %d dataset session(s) in %.1fs\n", len(datasets), time.Since(start).Seconds())
 	}
 
 	// SIGHUP hot-swaps the model. Reload races the trainer publishing a
@@ -338,7 +307,7 @@ func newRetrainer(sf *serveFlags, ing *ingest.Ingestor, srv *serve.Server, mcfg 
 			return cand, nil
 		},
 		Publish: func(ctx context.Context, cand *core.FriendSeeker, id string, snap *checkin.Dataset) error {
-			if err := srv.SwapWithDataset(ctx, cand, id, sf.ingestData, snap, nil); err != nil {
+			if err := srv.SwapWithDataset(ctx, cand, id, sf.ingestData, snap); err != nil {
 				return err
 			}
 			// The swap already landed: a persistence failure is logged, not

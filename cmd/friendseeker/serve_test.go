@@ -11,14 +11,14 @@ func TestParseServeFlags(t *testing.T) {
 		"-model", "m.bin",
 		"-data", "tiny=tiny.csv",
 		"-data", "big=big.csv",
-		"-batch", "16",
-		"-max-wait", "5ms",
-		"-timeout", "2s",
+		"-max-inflight", "16",
+		"-max-pairs", "32",
+		"-drain-timeout", "2s",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sf.modelPath != "m.bin" || sf.batch != 16 || sf.maxWait != 5*time.Millisecond || sf.timeout != 2*time.Second {
+	if sf.modelPath != "m.bin" || sf.maxInFlight != 16 || sf.maxPairs != 32 || sf.drainTimeout != 2*time.Second {
 		t.Errorf("parsed flags = %+v", sf)
 	}
 	if len(sf.datasets) != 2 || sf.datasets["tiny"] != "tiny.csv" || sf.datasets["big"] != "big.csv" {

@@ -36,10 +36,12 @@
 // For long-lived serving, (*FriendSeeker).NewPairScorer freezes one
 // reference inference over a dataset and answers per-pair decisions —
 // batch-order independent and byte-identical to the reference Infer —
-// from any number of goroutines. `friendseeker serve` wraps a PairScorer
-// per dataset in an HTTP server with request coalescing, admission
-// control and zero-downtime model swap; see DESIGN.md "Serving
-// architecture" and cmd/loadgen for the companion load driver.
+// from any number of goroutines. `friendseeker serve` runs one reference
+// inference per dataset over every user pair when a model is published,
+// answers each request by looking its pairs up in the resulting decision
+// table, and adds admission control and zero-downtime model swap; see
+// DESIGN.md "Serving architecture" and cmd/loadgen for the companion load
+// driver.
 //
 // # Quick start
 //
@@ -102,8 +104,7 @@ type (
 	InferReport = core.InferReport
 	// PairScorer answers per-pair decisions against one dataset's frozen
 	// reference inference, concurrently; build one with
-	// (*FriendSeeker).NewPairScorer. It is the serving primitive behind
-	// `friendseeker serve`.
+	// (*FriendSeeker).NewPairScorer.
 	PairScorer = core.PairScorer
 )
 

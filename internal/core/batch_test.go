@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -200,4 +201,26 @@ func TestEncodeMissingDedups(t *testing.T) {
 	if err := cache.encodeMissing(nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// pairSubgraph extracts the k-hop reachable subgraph of one pair (the
+// cheap graph half of a composite feature, separable from the embedding
+// half so a prefetch pass can batch the latter).
+func pairSubgraph(pair checkin.Pair, g *graph.Graph, fp featureParams) (*graph.ReachableSubgraph, error) {
+	sub, err := graph.KHopReachableSubgraph(g, pair.A, pair.B, fp.K,
+		graph.WithMaxPathsPerLength(fp.MaxPathsPerLength))
+	if err != nil {
+		return nil, fmt.Errorf("core: subgraph for pair (%d,%d): %w", pair.A, pair.B, err)
+	}
+	return sub, nil
+}
+
+// compositeFeature computes the subgraph and composite feature in one
+// step (the unbatched path, kept for callers outside the hot loops).
+func compositeFeature(pair checkin.Pair, g *graph.Graph, cache *embeddingCache, fp featureParams) ([]float64, error) {
+	sub, err := pairSubgraph(pair, g, fp)
+	if err != nil {
+		return nil, err
+	}
+	return compositeFromSub(pair, sub, cache, fp)
 }

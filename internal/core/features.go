@@ -256,18 +256,6 @@ type featureParams struct {
 	UsePathCounts             bool
 }
 
-// pairSubgraph extracts the k-hop reachable subgraph of one pair (the
-// cheap graph half of a composite feature, separable from the embedding
-// half so a prefetch pass can batch the latter).
-func pairSubgraph(pair checkin.Pair, g *graph.Graph, fp featureParams) (*graph.ReachableSubgraph, error) {
-	sub, err := graph.KHopReachableSubgraph(g, pair.A, pair.B, fp.K,
-		graph.WithMaxPathsPerLength(fp.MaxPathsPerLength))
-	if err != nil {
-		return nil, fmt.Errorf("core: subgraph for pair (%d,%d): %w", pair.A, pair.B, err)
-	}
-	return sub, nil
-}
-
 // subgraphEdgePairs appends to dst the pair itself plus every edge of the
 // subgraph's retained paths — exactly the embeddings a composite feature
 // will ask the cache for. Duplicates are fine; the batch encoder dedups.
@@ -300,14 +288,4 @@ func compositeFromSub(pair checkin.Pair, sub *graph.ReachableSubgraph, cache *em
 	out = append(out, h...)
 	out = append(out, s...)
 	return out, nil
-}
-
-// compositeFeature computes the subgraph and composite feature in one
-// step (the unbatched path, kept for callers outside the hot loops).
-func compositeFeature(pair checkin.Pair, g *graph.Graph, cache *embeddingCache, fp featureParams) ([]float64, error) {
-	sub, err := pairSubgraph(pair, g, fp)
-	if err != nil {
-		return nil, err
-	}
-	return compositeFromSub(pair, sub, cache, fp)
 }

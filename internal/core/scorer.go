@@ -23,8 +23,10 @@ func (fs *FriendSeeker) InferContext(ctx context.Context, ds *checkin.Dataset, p
 
 // PairScorer answers friendship decisions for arbitrary pairs of one
 // dataset, repeatedly and concurrently, without re-running the iterative
-// refinement loop per request. It is the core primitive behind the
-// serving subsystem (internal/serve).
+// refinement loop per request. Unlike a table of reference decisions it
+// also answers pairs outside the reference universe; the serving
+// subsystem (internal/serve), whose universe is every user pair, looks
+// answers up in such a table instead.
 //
 // Construction runs one full reference inference over refPairs (normally
 // the dataset's whole candidate universe) and freezes the social graph
@@ -35,8 +37,7 @@ func (fs *FriendSeeker) InferContext(ctx context.Context, ds *checkin.Dataset, p
 // hysteresis decision. For every pair covered by the reference inference
 // the decision is therefore byte-identical to what Infer returned, and —
 // because the graph is frozen — the decision for a pair never depends on
-// which other pairs happen to share its batch. That order-independence is
-// what lets a server micro-batch concurrently arriving requests.
+// which other pairs happen to share its batch.
 //
 // Concurrency: a PairScorer is read-only after construction except for
 // its embedding cache, which is internally synchronised (singleflight);

@@ -2,7 +2,7 @@
 // injector for chaos testing the serving stack.
 //
 // An Injector holds rules keyed by *site* — a named hook point such as
-// "flush", "warm" or "load" — and a per-site invocation counter. Each
+// "warm", "load" or "ingest" — and a per-site invocation counter. Each
 // time a hook fires, the counter advances and the rules decide whether
 // this particular invocation faults: return an injected error, sleep a
 // latency spike, or corrupt a byte payload. The schedule is purely a
@@ -111,9 +111,9 @@ func New(rules ...Rule) *Injector {
 // where kind is "err", "corrupt" or "delay=DURATION", to may be "*"
 // (open-ended) and every defaults to 1. Example:
 //
-//	flush:err@3-6;load:corrupt@2;warm:delay=50ms@0-*/2
+//	ingest:err@3-6;load:corrupt@2;warm:delay=50ms@0-*/2
 //
-// injects scoring errors on flush invocations 3..6, corrupts the 3rd
+// injects write errors on ingest invocations 3..6, corrupts the 3rd
 // load payload, and delays every second warm by 50ms.
 func Parse(spec string) (*Injector, error) {
 	var rules []Rule

@@ -1,12 +1,9 @@
-// Package resilience holds the small, reusable failure-handling
-// primitives of the serving stack: retry with exponential backoff and
-// full jitter, and a consecutive-failure circuit breaker.
+// Package resilience holds the serving stack's retry primitive: retry
+// with exponential backoff and full jitter.
 //
-// Both primitives are deliberately free of any serving-specific types so
-// they can wrap anything that returns an error: the SIGHUP model-reload
-// path retries with Retry, and the per-dataset scoring path in
-// internal/serve degrades through a Breaker. Tests inject the clock and
-// sleeper, so every schedule is deterministic.
+// It is deliberately free of any serving-specific types so it can wrap
+// anything that returns an error; the SIGHUP model-reload path retries
+// with it. Tests inject the sleeper, so every schedule is deterministic.
 package resilience
 
 import (
@@ -14,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 )
 
@@ -106,141 +102,4 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// BreakerState is the circuit breaker's observable state.
-type BreakerState int
-
-const (
-	// BreakerClosed passes every attempt through (healthy).
-	BreakerClosed BreakerState = iota
-	// BreakerOpen fails fast; after the cooldown one probe is allowed.
-	BreakerOpen
-	// BreakerHalfOpen has granted a probe and is awaiting its verdict.
-	BreakerHalfOpen
-)
-
-// String renders the state for health endpoints and logs.
-func (s BreakerState) String() string {
-	switch s {
-	case BreakerClosed:
-		return "closed"
-	case BreakerOpen:
-		return "open"
-	case BreakerHalfOpen:
-		return "half-open"
-	default:
-		return fmt.Sprintf("BreakerState(%d)", int(s))
-	}
-}
-
-// Breaker is a consecutive-failure circuit breaker. Closed, it admits
-// every attempt; Threshold consecutive failures open it. Open, Allow
-// fails fast until Cooldown has elapsed, then grants exactly one
-// half-open probe: the probe's Success closes the breaker, its Failure
-// re-opens it (restarting the cooldown). Safe for concurrent use.
-type Breaker struct {
-	mu        sync.Mutex
-	threshold int
-	cooldown  time.Duration
-	now       func() time.Time
-
-	state    BreakerState
-	failures int
-	openedAt time.Time
-
-	// onOpen, if set, runs (outside the lock) each closed/half-open ->
-	// open transition; serve uses it to count breaker trips.
-	onOpen func()
-}
-
-// NewBreaker returns a closed breaker that opens after threshold
-// consecutive failures and probes every cooldown thereafter.
-func NewBreaker(threshold int, cooldown time.Duration) *Breaker {
-	if threshold < 1 {
-		threshold = 1
-	}
-	if cooldown <= 0 {
-		cooldown = 5 * time.Second
-	}
-	return &Breaker{threshold: threshold, cooldown: cooldown, now: time.Now}
-}
-
-// WithClock replaces the breaker's clock (tests only). Returns b.
-func (b *Breaker) WithClock(now func() time.Time) *Breaker {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.now = now
-	return b
-}
-
-// OnOpen registers a callback run on each transition to open. Returns b.
-func (b *Breaker) OnOpen(fn func()) *Breaker {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.onOpen = fn
-	return b
-}
-
-// Allow reports whether an attempt against the protected dependency may
-// proceed. When the breaker is open and the cooldown has elapsed it
-// transitions to half-open and grants this caller the single probe; the
-// caller must then report Success or Failure.
-func (b *Breaker) Allow() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case BreakerClosed:
-		return true
-	case BreakerOpen:
-		if b.now().Sub(b.openedAt) >= b.cooldown {
-			b.state = BreakerHalfOpen
-			return true
-		}
-		return false
-	default: // BreakerHalfOpen: a probe is already in flight.
-		return false
-	}
-}
-
-// Success records a successful attempt: the failure streak resets and a
-// half-open breaker closes.
-func (b *Breaker) Success() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.failures = 0
-	b.state = BreakerClosed
-}
-
-// Failure records a failed attempt: a half-open probe re-opens the
-// breaker immediately; a closed breaker opens once the consecutive
-// failure count reaches the threshold.
-func (b *Breaker) Failure() {
-	b.mu.Lock()
-	var opened func()
-	switch b.state {
-	case BreakerHalfOpen:
-		b.state = BreakerOpen
-		b.openedAt = b.now()
-		opened = b.onOpen
-	default:
-		b.failures++
-		if b.state == BreakerClosed && b.failures >= b.threshold {
-			b.state = BreakerOpen
-			b.openedAt = b.now()
-			opened = b.onOpen
-		}
-	}
-	b.mu.Unlock()
-	if opened != nil {
-		opened()
-	}
-}
-
-// State returns the current state (open breakers past their cooldown
-// still report open until an Allow claims the probe).
-func (b *Breaker) State() BreakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
 }

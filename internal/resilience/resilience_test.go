@@ -121,92 +121,3 @@ func TestRetryRejectsZeroAttempts(t *testing.T) {
 		t.Fatal("Retry with MaxAttempts 0 should error")
 	}
 }
-
-// fakeClock is a manually advanced clock for breaker cooldown tests.
-type fakeClock struct{ t time.Time }
-
-func (c *fakeClock) now() time.Time          { return c.t }
-func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
-
-func TestBreakerLifecycle(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
-	opens := 0
-	b := NewBreaker(3, time.Second).WithClock(clk.now).OnOpen(func() { opens++ })
-
-	if got := b.State(); got != BreakerClosed {
-		t.Fatalf("initial state = %v", got)
-	}
-	// Two failures: still closed (threshold 3).
-	b.Failure()
-	b.Failure()
-	if !b.Allow() || b.State() != BreakerClosed {
-		t.Fatal("breaker opened before threshold")
-	}
-	// A success resets the streak.
-	b.Success()
-	b.Failure()
-	b.Failure()
-	if b.State() != BreakerClosed {
-		t.Fatal("success did not reset the failure streak")
-	}
-	// Third consecutive failure opens it.
-	b.Failure()
-	if b.State() != BreakerOpen {
-		t.Fatalf("state after threshold failures = %v, want open", b.State())
-	}
-	if opens != 1 {
-		t.Fatalf("onOpen fired %d times, want 1", opens)
-	}
-	if b.Allow() {
-		t.Fatal("open breaker inside cooldown must fail fast")
-	}
-
-	// Cooldown elapses: exactly one probe is granted.
-	clk.advance(time.Second)
-	if !b.Allow() {
-		t.Fatal("probe not granted after cooldown")
-	}
-	if b.State() != BreakerHalfOpen {
-		t.Fatalf("state during probe = %v, want half-open", b.State())
-	}
-	if b.Allow() {
-		t.Fatal("second probe granted while first is in flight")
-	}
-
-	// Probe fails: re-open, cooldown restarts.
-	b.Failure()
-	if b.State() != BreakerOpen {
-		t.Fatalf("state after failed probe = %v, want open", b.State())
-	}
-	if opens != 2 {
-		t.Fatalf("onOpen fired %d times, want 2", opens)
-	}
-	if b.Allow() {
-		t.Fatal("re-opened breaker granted an attempt before cooldown")
-	}
-
-	// Next probe succeeds: closed and admitting again.
-	clk.advance(time.Second)
-	if !b.Allow() {
-		t.Fatal("probe not granted after second cooldown")
-	}
-	b.Success()
-	if b.State() != BreakerClosed {
-		t.Fatalf("state after successful probe = %v, want closed", b.State())
-	}
-	if !b.Allow() {
-		t.Fatal("closed breaker must admit")
-	}
-}
-
-func TestBreakerStateString(t *testing.T) {
-	for state, want := range map[BreakerState]string{
-		BreakerClosed:   "closed",
-		BreakerOpen:     "open",
-		BreakerHalfOpen: "half-open",
-	} {
-		if got := state.String(); got != want {
-			t.Errorf("%d.String() = %q, want %q", int(state), got, want)
-		}
-	}
-}

@@ -4,18 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
-	"github.com/friendseeker/friendseeker/internal/checkin"
 	"github.com/friendseeker/friendseeker/internal/core"
 	"github.com/friendseeker/friendseeker/internal/faultinject"
-	"github.com/friendseeker/friendseeker/internal/resilience"
 )
 
 // mustFaults parses a fault schedule or fails the test.
@@ -28,29 +26,16 @@ func mustFaults(t *testing.T, spec string) *faultinject.Injector {
 	return inj
 }
 
-// fallbackDecisions computes what the degraded tier would answer for
-// pairs, for asserting degraded responses pair-for-pair.
-func fallbackDecisions(t *testing.T, f *serveFixture, pairs []checkin.Pair) []bool {
-	t.Helper()
-	dec, err := newCoLocationFallback(f.world.Dataset).Decide(context.Background(), pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dec
-}
-
 func getHealth(t *testing.T, client *http.Client, url string) (int, struct {
-	Status       string            `json:"status"`
-	Model        string            `json:"model"`
-	Breakers     map[string]string `json:"breakers"`
-	SwapFailures int64             `json:"swap_failures"`
+	Status       string `json:"status"`
+	Model        string `json:"model"`
+	SwapFailures int64  `json:"swap_failures"`
 }) {
 	t.Helper()
 	var h struct {
-		Status       string            `json:"status"`
-		Model        string            `json:"model"`
-		Breakers     map[string]string `json:"breakers"`
-		SwapFailures int64             `json:"swap_failures"`
+		Status       string `json:"status"`
+		Model        string `json:"model"`
+		SwapFailures int64  `json:"swap_failures"`
 	}
 	resp, err := client.Get(url + "/healthz")
 	if err != nil {
@@ -85,11 +70,8 @@ func TestSwapRejectsUntrained(t *testing.T) {
 		t.Fatal(err)
 	}
 	reload := func() (*core.FriendSeeker, string, error) { return untrained, "bad", nil }
-	s := newTestServer(t, Config{MaxWait: time.Millisecond, RequestTimeout: time.Minute, Reload: reload}, f.modelA, "model-a")
+	s := newTestServer(t, Config{Reload: reload})
 	defer s.Shutdown(context.Background())
-	if err := s.Warm(context.Background()); err != nil {
-		t.Fatal(err)
-	}
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
 
@@ -106,7 +88,7 @@ func TestSwapRejectsUntrained(t *testing.T) {
 	p := f.pairs[3]
 	codeI, ir, raw := mustPostInfer(t, hs.Client(), hs.URL,
 		inferRequest{Dataset: "tiny", Pairs: [][2]int64{{int64(p.A), int64(p.B)}}})
-	if codeI != http.StatusOK || ir.Decisions[0] != f.directA[3] || ir.Degraded {
+	if codeI != http.StatusOK || ir.Decisions[0] != f.directA[3] {
 		t.Fatalf("post-rejection serving broke: %d %s", codeI, raw)
 	}
 	if _, h := getHealth(t, hs.Client(), hs.URL); h.SwapFailures != 1 {
@@ -136,7 +118,7 @@ func TestSwapRejectsCorruptArtifact(t *testing.T) {
 		}
 		return fs, "model-b", nil
 	}
-	s := newTestServer(t, Config{MaxWait: time.Millisecond, RequestTimeout: time.Minute, Reload: reload}, f.modelA, "model-a")
+	s := newTestServer(t, Config{Reload: reload})
 	defer s.Shutdown(context.Background())
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
@@ -163,10 +145,10 @@ func TestSwapRejectsCorruptArtifact(t *testing.T) {
 func TestSwapRaceWithReload(t *testing.T) {
 	f := getFixture(t)
 	reload := func() (*core.FriendSeeker, string, error) { return f.modelA, "model-a", nil }
-	s := newTestServer(t, Config{MaxWait: time.Millisecond, RequestTimeout: time.Minute, Reload: reload}, f.modelA, "model-a")
+	s := newTestServer(t, Config{Reload: reload})
 	defer s.Shutdown(context.Background())
 
-	// Each successful swap warms a fresh PairScorer (a full reference
+	// Each successful swap builds a fresh decision table (a full reference
 	// inference), so keep the round count modest; the point is lock
 	// contention, not volume.
 	const rounds = 3
@@ -210,205 +192,36 @@ func TestSwapRaceWithReload(t *testing.T) {
 	}
 }
 
-// TestBreakerDegradeAndRecover walks the full ladder: primary failures
-// serve degraded fallback answers, the breaker opens at the threshold
-// (skipping the primary entirely), a half-open probe after the cooldown
-// restores the primary, and /healthz + metrics narrate each stage.
-func TestBreakerDegradeAndRecover(t *testing.T) {
+// TestSwapRetryAfterWarmFailure: a failed table build is not sticky. The
+// faulted swap is rejected and the last-known-good model keeps serving its
+// exact answers; the next swap of the same candidate builds again and
+// lands.
+func TestSwapRetryAfterWarmFailure(t *testing.T) {
 	f := getFixture(t)
-	const cooldown = 150 * time.Millisecond
-	s := newTestServer(t, Config{
-		BatchSize:        4,
-		MaxWait:          time.Millisecond,
-		RequestTimeout:   time.Minute,
-		BreakerThreshold: 2,
-		BreakerCooldown:  cooldown,
-		Faults:           mustFaults(t, "flush:err@0-1"),
-	}, f.modelA, "model-a")
-	defer s.Shutdown(context.Background())
-	if err := s.Warm(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	hs := httptest.NewServer(s.Handler())
-	defer hs.Close()
-	client := hs.Client()
-
-	pairs := f.pairs[:4]
-	body := [][2]int64{}
-	for _, p := range pairs {
-		body = append(body, [2]int64{int64(p.A), int64(p.B)})
-	}
-	wantFB := fallbackDecisions(t, f, pairs)
-	post := func() (int, inferResponse, string) {
-		return mustPostInfer(t, client, hs.URL, inferRequest{Dataset: "tiny", Pairs: body})
-	}
-
-	// Requests 1-2: flush faults burn the breaker budget; both answered
-	// degraded by the fallback. Request 3: breaker open — degraded without
-	// touching the primary (the fault schedule is exhausted, so a primary
-	// attempt would have SUCCEEDED; staying degraded proves the breaker
-	// short-circuited it).
-	for i := 1; i <= 3; i++ {
-		code, ir, raw := post()
-		if code != http.StatusOK {
-			t.Fatalf("request %d: status %d (%s)", i, code, raw)
-		}
-		if !ir.Degraded {
-			t.Fatalf("request %d: not flagged degraded", i)
-		}
-		for j := range wantFB {
-			if ir.Decisions[j] != wantFB[j] {
-				t.Fatalf("request %d pair %d: degraded decision %v, fallback says %v", i, j, ir.Decisions[j], wantFB[j])
-			}
-		}
-	}
-	if got := s.met.breakerOpenTotal.Value(); got != 1 {
-		t.Errorf("breakerOpenTotal = %d, want 1", got)
-	}
-	if n := s.cfg.Faults.Count("flush"); n != 2 {
-		t.Errorf("flush site fired %d times, want 2: the open breaker must not attempt the primary", n)
-	}
-	hcode, h := getHealth(t, client, hs.URL)
-	if hcode != http.StatusOK || h.Status != "degraded" || h.Breakers["tiny"] != "open" {
-		t.Errorf("healthz while open = %d %+v, want 200/degraded/open", hcode, h)
-	}
-
-	// After the cooldown the half-open probe goes through the (now
-	// healthy) primary and closes the breaker: exact model-A answers, no
-	// degraded flag.
-	time.Sleep(cooldown + 50*time.Millisecond)
-	code, ir, raw := post()
-	if code != http.StatusOK || ir.Degraded {
-		t.Fatalf("post-recovery: status %d degraded %v (%s)", code, ir.Degraded, raw)
-	}
-	for j := range pairs {
-		if ir.Decisions[j] != f.directA[j] {
-			t.Fatalf("post-recovery pair %d: %v, Infer says %v", j, ir.Decisions[j], f.directA[j])
-		}
-	}
-	if _, h := getHealth(t, client, hs.URL); h.Status != "ok" || h.Breakers["tiny"] != "closed" {
-		t.Errorf("healthz after recovery = %+v, want ok/closed", h)
-	}
-	if got := s.met.degradedTotal.Value(); got != 3 {
-		t.Errorf("degradedTotal = %d, want 3", got)
-	}
-
-	// Breaker state is also on /metrics (aggregate gauge + counters).
-	resp, err := client.Get(hs.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	_, _ = buf.ReadFrom(resp.Body)
-	resp.Body.Close()
-	for _, want := range []string{"fs_serve_breakers_open 0", "fs_serve_breaker_open_total 1", "fs_serve_degraded_total 3"} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("metrics missing %q", want)
-		}
-	}
-}
-
-// TestBreakerNoFallback503: with the fallback disabled the ladder's
-// bottom rung is a fast 503 + Retry-After once the breaker opens;
-// pre-open failures still surface as 500s.
-func TestBreakerNoFallback503(t *testing.T) {
-	f := getFixture(t)
-	s := newTestServer(t, Config{
-		BatchSize:        2,
-		MaxWait:          time.Millisecond,
-		RequestTimeout:   time.Minute,
-		BreakerThreshold: 2,
-		BreakerCooldown:  10 * time.Second,
-		DisableFallback:  true,
-		Faults:           mustFaults(t, "flush:err@0-*"),
-	}, f.modelA, "model-a")
-	defer s.Shutdown(context.Background())
-	if err := s.Warm(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	hs := httptest.NewServer(s.Handler())
-	defer hs.Close()
-
-	p := f.pairs[0]
-	req := inferRequest{Dataset: "tiny", Pairs: [][2]int64{{int64(p.A), int64(p.B)}}}
-	for i := 1; i <= 2; i++ {
-		code, _, raw := mustPostInfer(t, hs.Client(), hs.URL, req)
-		if code != http.StatusInternalServerError {
-			t.Fatalf("request %d: status %d, want 500 while the breaker is closed (%s)", i, code, raw)
-		}
-	}
-	payload, _ := json.Marshal(req)
-	resp, err := hs.Client().Post(hs.URL+"/v1/infer", "application/json", bytes.NewReader(payload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("open-breaker status = %d, want 503", resp.StatusCode)
-	}
-	if got := resp.Header.Get("Retry-After"); got != "10" {
-		t.Errorf("Retry-After = %q, want 10 (the breaker cooldown)", got)
-	}
-	if got := s.met.unavailableTotal.Value(); got != 1 {
-		t.Errorf("unavailableTotal = %d, want 1", got)
-	}
-}
-
-// TestSessionRetryAfterWarmFailure: a failed scorer build is not sticky —
-// the next batch retries it and the dataset heals. Before PR 9 the
-// sync.Once session turned one transient warm failure into a permanently
-// dead (model, dataset) pair.
-func TestSessionRetryAfterWarmFailure(t *testing.T) {
-	f := getFixture(t)
-	s := newTestServer(t, Config{
-		BatchSize:      2,
-		MaxWait:        time.Millisecond,
-		RequestTimeout: time.Minute,
-		Faults:         mustFaults(t, "warm:err@0"),
-	}, f.modelA, "model-a")
+	s := newTestServer(t, Config{Faults: mustFaults(t, "warm:err@0")})
 	defer s.Shutdown(context.Background())
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
 
-	// No Warm call: the first flush builds the session and hits the fault;
-	// with the default threshold (5) the breaker stays closed and the
-	// fallback answers degraded.
+	ctx := context.Background()
+	if err := s.Swap(ctx, f.modelB, "model-b"); !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("faulted swap error = %v, want an injected fault", err)
+	}
+	if got := s.met.swapFailuresTotal.Value(); got != 1 {
+		t.Errorf("swapFailuresTotal = %d, want 1", got)
+	}
 	p := f.pairs[2]
 	req := inferRequest{Dataset: "tiny", Pairs: [][2]int64{{int64(p.A), int64(p.B)}}}
 	code, ir, raw := mustPostInfer(t, hs.Client(), hs.URL, req)
-	if code != http.StatusOK || !ir.Degraded {
-		t.Fatalf("faulted warm: status %d degraded %v (%s)", code, ir.Degraded, raw)
+	if code != http.StatusOK || ir.Model != "model-a" || ir.Decisions[0] != f.directA[2] {
+		t.Fatalf("after failed swap: status %d (%s), want model-a deciding %v", code, raw, f.directA[2])
 	}
-	// Second request: the session build is retried, succeeds, and the
-	// primary answers exactly as a direct Infer.
+
+	if err := s.Swap(ctx, f.modelB, "model-b"); err != nil {
+		t.Fatalf("retried swap: %v", err)
+	}
 	code, ir, raw = mustPostInfer(t, hs.Client(), hs.URL, req)
-	if code != http.StatusOK || ir.Degraded {
-		t.Fatalf("healed request: status %d degraded %v (%s)", code, ir.Degraded, raw)
-	}
-	if ir.Decisions[0] != f.directA[2] {
-		t.Fatalf("healed decision %v, Infer says %v", ir.Decisions[0], f.directA[2])
-	}
-}
-
-// TestFlushShutdownNotBreakerFailure: a batch cancelled by server
-// shutdown reports the cancellation but must not trip the breaker — a
-// draining server is not a failing scorer.
-func TestFlushShutdownNotBreakerFailure(t *testing.T) {
-	br := resilience.NewBreaker(1, time.Hour)
-	d := deciderFunc(func(ctx context.Context, ps []checkin.Pair) ([]bool, error) {
-		return nil, ctx.Err()
-	})
-	c := newCoalescer(coalescerConfig{queueDepth: 4, batchSize: 4, maxWait: time.Hour, breaker: br},
-		func(context.Context) (decider, error) { return d, nil })
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	it := &item{pair: checkin.MakePair(1, 2), ctx: context.Background(), done: make(chan itemResult, 1)}
-	c.flush(ctx, []*item{it})
-	if res := <-it.done; res.err == nil {
-		t.Fatal("cancelled batch should surface an error")
-	}
-	if got := br.State(); got != resilience.BreakerClosed {
-		t.Fatalf("breaker = %v after shutdown-cancelled batch, want closed", got)
+	if code != http.StatusOK || ir.Model != "model-b" || ir.Decisions[0] != f.directB[2] {
+		t.Fatalf("after retried swap: status %d (%s), want model-b deciding %v", code, raw, f.directB[2])
 	}
 }

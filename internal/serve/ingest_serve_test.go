@@ -80,11 +80,7 @@ func postCheckins(t *testing.T, client *http.Client, url string, body any) (int,
 func TestServeCheckinsEndpoint(t *testing.T) {
 	f := getFixture(t)
 	g := newTestIngestor(t, ingest.DriftConfig{})
-	s, err := New(Config{Ingest: g, MaxCheckInsPerRequest: 8},
-		f.modelA, "model-a", []Dataset{{Name: "tiny", Data: f.world.Dataset}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newTestServer(t, Config{Ingest: g, MaxCheckInsPerRequest: 8})
 	defer s.Shutdown(context.Background())
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
@@ -180,7 +176,7 @@ func TestServeCheckinsEndpoint(t *testing.T) {
 // TestServeCheckinsNotConfigured: without an ingestor the endpoint is 501.
 func TestServeCheckinsNotConfigured(t *testing.T) {
 	f := getFixture(t)
-	s := newTestServer(t, Config{}, f.modelA, "model-a")
+	s := newTestServer(t, Config{})
 	defer s.Shutdown(context.Background())
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
@@ -199,11 +195,7 @@ func TestServeCheckinsNotConfigured(t *testing.T) {
 func TestSwapWithDataset(t *testing.T) {
 	f := getFixture(t)
 	g := newTestIngestor(t, ingest.DriftConfig{})
-	s, err := New(Config{Ingest: g}, f.modelA, "model-a",
-		[]Dataset{{Name: "tiny", Data: f.world.Dataset}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newTestServer(t, Config{Ingest: g})
 	defer s.Shutdown(context.Background())
 
 	ctx := context.Background()
@@ -218,17 +210,17 @@ func TestSwapWithDataset(t *testing.T) {
 
 	// Unknown dataset and untrained model are rejected without unseating
 	// the serving state.
-	if err := s.SwapWithDataset(ctx, f.modelB, "model-b", "nope", snap, refPairs); err == nil {
+	if err := s.SwapWithDataset(ctx, f.modelB, "model-b", "nope", snap); err == nil {
 		t.Fatal("swap to unknown dataset succeeded")
 	}
-	if err := s.SwapWithDataset(ctx, nil, "nil", "tiny", snap, refPairs); err == nil {
+	if err := s.SwapWithDataset(ctx, nil, "nil", "tiny", snap); err == nil {
 		t.Fatal("swap of nil model succeeded")
 	}
 	if got := s.ModelID(); got != "model-a" {
 		t.Fatalf("model after failed swaps = %q", got)
 	}
 
-	if err := s.SwapWithDataset(ctx, f.modelB, "model-b", "tiny", snap, refPairs); err != nil {
+	if err := s.SwapWithDataset(ctx, f.modelB, "model-b", "tiny", snap); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.ModelID(); got != "model-b" {
@@ -260,8 +252,8 @@ func TestSwapWithDataset(t *testing.T) {
 		if code != http.StatusOK {
 			t.Fatalf("status = %d (%s)", code, raw)
 		}
-		if ir.Model != "model-b" || ir.Degraded {
-			t.Fatalf("response model %q degraded %v", ir.Model, ir.Degraded)
+		if ir.Model != "model-b" {
+			t.Fatalf("response model %q", ir.Model)
 		}
 		for i, d := range ir.Decisions {
 			if d != want[lo+i] {
@@ -279,15 +271,8 @@ func TestSwapWithDataset(t *testing.T) {
 func TestConcurrentIngestInferSwap(t *testing.T) {
 	f := getFixture(t)
 	g := newTestIngestor(t, ingest.DriftConfig{})
-	s, err := New(Config{MaxInFlight: 256, QueueDepth: 4096, Ingest: g},
-		f.modelA, "model-a", []Dataset{{Name: "tiny", Data: f.world.Dataset}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newTestServer(t, Config{MaxInFlight: 256, Ingest: g})
 	defer s.Shutdown(context.Background())
-	if err := s.Warm(context.Background()); err != nil {
-		t.Fatal(err)
-	}
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
 
@@ -360,7 +345,7 @@ func TestConcurrentIngestInferSwap(t *testing.T) {
 			if i%2 == 1 {
 				m, id = f.modelA, fmt.Sprintf("swap-%d-a", i)
 			}
-			if err := s.SwapWithDataset(ctx, m, id, "tiny", snap, AllUserPairs(snap)); err != nil {
+			if err := s.SwapWithDataset(ctx, m, id, "tiny", snap); err != nil {
 				errCh <- err
 				return
 			}

@@ -15,25 +15,12 @@ import (
 // TestSaturatingScheduleHonestAccounting drives the real serving stack
 // with a deliberately saturating open-loop schedule: admission control
 // must push back visibly (non-zero 429s) while the replayer holds the
-// full schedule (sent == scheduled, no masked under-sending). The
-// ScoreDelay hook stands in for a heavyweight model so a tiny world
-// saturates deterministically.
+// full schedule (sent == scheduled, no masked under-sending). Both
+// in-flight slots are held, as stalled handlers would hold them, for the
+// schedule's first slot, so a tiny world saturates deterministically.
 func TestSaturatingScheduleHonestAccounting(t *testing.T) {
 	f := getFixture(t)
-	s, err := New(Config{
-		MaxInFlight:    2,
-		QueueDepth:     8,
-		BatchSize:      4,
-		MaxWait:        time.Millisecond,
-		RequestTimeout: 2 * time.Second,
-		ScoreDelay:     25 * time.Millisecond,
-	}, f.modelA, "model-a", []Dataset{{Name: "tiny", Data: f.world.Dataset}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Warm(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	s := newTestServer(t, Config{MaxInFlight: 2})
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
 	defer func() {
@@ -42,11 +29,20 @@ func TestSaturatingScheduleHonestAccounting(t *testing.T) {
 		_ = s.Shutdown(ctx)
 	}()
 
+	const slot = 250 * time.Millisecond
+	s.inflight <- struct{}{}
+	s.inflight <- struct{}{}
+	release := time.AfterFunc(slot, func() {
+		<-s.inflight
+		<-s.inflight
+	})
+	defer release.Stop()
+
 	// 3 slots × 100 requests per 250ms slot = 400 rps offered against a
-	// server bounded at 2 in-flight requests and ~160 pair-decisions/s.
+	// server whose admission is full for the whole first slot.
 	sched := &loadsched.Schedule{
 		Mode: loadsched.ModeBurst, Seed: 1,
-		Slot:        250 * time.Millisecond,
+		Slot:        slot,
 		Invocations: []int{100, 100, 100},
 	}
 	client := &http.Client{Timeout: 5 * time.Second}
@@ -69,7 +65,7 @@ func TestSaturatingScheduleHonestAccounting(t *testing.T) {
 			rep.Sent, rep.Scheduled)
 	}
 	if rep.Rejected == 0 {
-		t.Error("429s = 0: a 400 rps schedule against a 2-in-flight server must trip admission control")
+		t.Error("429s = 0: a schedule against a full in-flight bound must trip admission control")
 	}
 	if rep.OK == 0 {
 		t.Error("ok = 0: admission control should shed load, not starve it entirely")

@@ -1,14 +1,10 @@
 package serve
 
-import (
-	"github.com/friendseeker/friendseeker/internal/resilience"
-	"github.com/friendseeker/friendseeker/internal/telemetry"
-)
+import "github.com/friendseeker/friendseeker/internal/telemetry"
 
 // serverMetrics is the /metrics surface: request counters broken out by
-// outcome, the request latency histogram, and the coalescer's batch-size
-// and queue-wait distributions — enough to read throughput, tail latency
-// and batching efficiency off one scrape.
+// outcome and the request latency histograms — enough to read throughput
+// and tail latency off one scrape.
 type serverMetrics struct {
 	registry *telemetry.Registry
 
@@ -16,28 +12,18 @@ type serverMetrics struct {
 	okTotal               *telemetry.Counter
 	badRequestTotal       *telemetry.Counter
 	rejectedInflightTotal *telemetry.Counter
-	rejectedQueueTotal    *telemetry.Counter
 	rejectedDrainTotal    *telemetry.Counter
-	timeoutTotal          *telemetry.Counter
-	errorTotal            *telemetry.Counter
 	pairsTotal            *telemetry.Counter
-	batchesTotal          *telemetry.Counter
 	swapsTotal            *telemetry.Counter
 	swapFailuresTotal     *telemetry.Counter
-	breakerOpenTotal      *telemetry.Counter
-	degradedTotal         *telemetry.Counter
-	degradedPairsTotal    *telemetry.Counter
-	unavailableTotal      *telemetry.Counter
 
 	checkinRequestsTotal   *telemetry.Counter
 	checkinOKTotal         *telemetry.Counter
 	checkinBadRequestTotal *telemetry.Counter
 	checkinErrorTotal      *telemetry.Counter
 
-	requestSeconds      *telemetry.Histogram
-	coalesceWaitSeconds *telemetry.Histogram
-	batchPairs          *telemetry.Histogram
-	checkinSeconds      *telemetry.Histogram
+	requestSeconds *telemetry.Histogram
+	checkinSeconds *telemetry.Histogram
 }
 
 func newServerMetrics() *serverMetrics {
@@ -49,18 +35,10 @@ func newServerMetrics() *serverMetrics {
 		okTotal:               r.Counter("fs_serve_ok_total", "infer requests answered 200"),
 		badRequestTotal:       r.Counter("fs_serve_bad_request_total", "infer requests rejected as malformed"),
 		rejectedInflightTotal: r.Counter("fs_serve_rejected_inflight_total", "requests rejected 429 at the in-flight bound"),
-		rejectedQueueTotal:    r.Counter("fs_serve_rejected_queue_total", "requests rejected 429 at the queue bound"),
 		rejectedDrainTotal:    r.Counter("fs_serve_rejected_drain_total", "requests rejected 503 during shutdown drain"),
-		timeoutTotal:          r.Counter("fs_serve_timeout_total", "requests answered 504 after the per-request budget"),
-		errorTotal:            r.Counter("fs_serve_error_total", "requests answered 500"),
 		pairsTotal:            r.Counter("fs_serve_pairs_total", "pair decisions returned"),
-		batchesTotal:          r.Counter("fs_serve_batches_total", "coalescer batches scored"),
 		swapsTotal:            r.Counter("fs_serve_model_swaps_total", "successful hot model swaps"),
 		swapFailuresTotal:     r.Counter("fs_serve_swap_failures_total", "rejected model swaps (corrupt, untrained, or failed warm); the previous model kept serving"),
-		breakerOpenTotal:      r.Counter("fs_serve_breaker_open_total", "times a dataset circuit breaker opened"),
-		degradedTotal:         r.Counter("fs_serve_degraded_total", "infer requests answered by the degraded fallback tier"),
-		degradedPairsTotal:    r.Counter("fs_serve_degraded_pairs_total", "pair decisions scored by the fallback scorer"),
-		unavailableTotal:      r.Counter("fs_serve_unavailable_total", "requests answered 503 with the breaker open and no fallback configured"),
 
 		checkinRequestsTotal:   r.Counter("fs_serve_checkin_requests_total", "POST /v1/checkins requests received"),
 		checkinOKTotal:         r.Counter("fs_serve_checkin_ok_total", "check-in batches accepted 200"),
@@ -71,10 +49,6 @@ func newServerMetrics() *serverMetrics {
 		// histograms, which needs sub-decade bucket resolution.
 		requestSeconds: r.Histogram("fs_serve_request_seconds",
 			"infer request latency (seconds)", telemetry.FineLatencyBuckets()),
-		coalesceWaitSeconds: r.Histogram("fs_serve_coalesce_wait_seconds",
-			"time a pair waited in the coalescer queue (seconds)", telemetry.FineLatencyBuckets()),
-		batchPairs: r.Histogram("fs_serve_batch_pairs",
-			"pairs per scored batch", []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}),
 		checkinSeconds: r.Histogram("fs_serve_checkin_seconds",
 			"POST /v1/checkins request latency (seconds)", telemetry.FineLatencyBuckets()),
 	}
@@ -84,23 +58,5 @@ func newServerMetrics() *serverMetrics {
 func (m *serverMetrics) registerGauges(s *Server) {
 	m.registry.Gauge("fs_serve_inflight", "infer requests currently admitted", func() float64 {
 		return float64(len(s.inflight))
-	})
-	m.registry.Gauge("fs_serve_queue_depth", "pairs currently queued across datasets", func() float64 {
-		n := 0
-		for _, e := range s.datasets {
-			n += len(e.co.in)
-		}
-		return float64(n)
-	})
-	// The registry has no label support, so per-dataset breaker state lives
-	// in /healthz; the gauge carries the aggregate for alerting.
-	m.registry.Gauge("fs_serve_breakers_open", "dataset circuit breakers currently not closed (open or half-open)", func() float64 {
-		n := 0
-		for _, e := range s.datasets {
-			if e.breaker != nil && e.breaker.State() != resilience.BreakerClosed {
-				n++
-			}
-		}
-		return float64(n)
 	})
 }

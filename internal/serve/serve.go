@@ -3,22 +3,23 @@
 //
 // Architecture (see DESIGN.md, "Serving architecture"):
 //
-//   - The trained model sits behind an atomic pointer; Swap publishes a
-//     newly loaded model with zero downtime (safe because PR 1 made
-//     trained models strictly read-only at inference).
-//   - Each served dataset has a core.PairScorer session — one reference
-//     inference frozen at convergence — and a request coalescer that
-//     micro-batches concurrently arriving pair requests into single calls
-//     through the batched EncodeInto / PredictProbaBatch kernels.
-//   - Admission control bounds both the number of in-flight requests and
-//     the per-dataset coalescer queue; overload is rejected fast with 429
-//     instead of queueing unboundedly.
-//   - Per-request budgets propagate via context.Context: an expired
-//     request is dropped from the next batch and answered 504.
+//   - Publishing a model (New, Swap, SwapWithDataset) runs one reference
+//     inference per served dataset over every user pair — the paper's
+//     phase 2 iterated to convergence — and packs the decision vector into
+//     a bitset, the dataset's decision table.
+//   - The model, its datasets and their tables sit behind one atomic
+//     pointer; a swap builds the new tables first (the old model keeps
+//     serving meanwhile) and then flips the pointer. A failed build keeps
+//     the last-known-good state.
+//   - POST /v1/infer decodes the body, looks each pair up in the table and
+//     encodes the answer. Request-time work cannot fail or wait on a
+//     queue, so the only overload control is a bound on in-flight
+//     requests, rejected fast with 429.
 //   - Shutdown drains: accepted requests complete, new ones get 503.
 package serve
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
@@ -29,7 +30,6 @@ import (
 	"net/http"
 	"os"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,7 +38,6 @@ import (
 	"github.com/friendseeker/friendseeker/internal/core"
 	"github.com/friendseeker/friendseeker/internal/faultinject"
 	"github.com/friendseeker/friendseeker/internal/ingest"
-	"github.com/friendseeker/friendseeker/internal/resilience"
 	"github.com/friendseeker/friendseeker/internal/telemetry"
 )
 
@@ -48,45 +47,15 @@ type Config struct {
 	// MaxInFlight bounds concurrently admitted /v1/infer requests; further
 	// requests are rejected with 429 immediately.
 	MaxInFlight int
-	// QueueDepth bounds each dataset's coalescer queue, in pairs. A
-	// request that cannot enqueue all its pairs is rejected with 429.
-	QueueDepth int
-	// BatchSize is the coalescer flush threshold: a batch is scored as
-	// soon as this many pairs are waiting.
-	BatchSize int
-	// MaxWait is the coalescer flush deadline: a batch is scored at most
-	// this long after its first pair arrived, full or not.
-	MaxWait time.Duration
-	// RequestTimeout is the per-request budget; requests that exceed it
-	// are answered 504 and dropped from subsequent batches.
-	RequestTimeout time.Duration
-	// MaxPairsPerRequest bounds the pair list of one request (clamped to
-	// QueueDepth, since a larger request could never be admitted).
+	// MaxPairsPerRequest bounds the pair list of one request.
 	MaxPairsPerRequest int
-	// ScoreDelay artificially delays every batch score by this duration.
-	// It is a load-test hook: saturation behaviour (429s, queue growth,
-	// tail latency) can be produced deterministically with a tiny model
-	// and the trace-driven load harness. Zero (the default) in production.
-	ScoreDelay time.Duration
 	// Reload, when set, backs POST /v1/admin/swap and ReloadAndSwap: it
-	// loads a fresh model (typically by re-reading the model file) which
-	// the server then warms and publishes. Without it the endpoint answers
-	// 501. A reload or warm failure never unseats the last-known-good
-	// model: the previous state keeps serving and the attempt is counted
-	// in fs_serve_swap_failures_total.
+	// loads a fresh model (typically by re-reading the model file) whose
+	// decision tables the server then builds and publishes. Without it the
+	// endpoint answers 501. A reload or build failure never unseats the
+	// last-known-good model: the previous state keeps serving and the
+	// attempt is counted in fs_serve_swap_failures_total.
 	Reload func() (*core.FriendSeeker, string, error)
-	// BreakerThreshold is the consecutive primary-scoring failures a
-	// dataset tolerates before its circuit breaker opens (default 5;
-	// negative disables breaking entirely).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker waits before letting a
-	// half-open probe batch through (default 5s). Also the Retry-After
-	// hint on 503s when no fallback is configured.
-	BreakerCooldown time.Duration
-	// DisableFallback turns off the degraded co-location tier. With it set,
-	// an open breaker answers 503 + Retry-After instead of degraded
-	// decisions.
-	DisableFallback bool
 	// Ingest, when set, backs POST /v1/checkins: submitted check-ins are
 	// validated, durably logged and folded into the incremental JOC state.
 	// Without it the endpoint answers 501. The ingestor's metrics are
@@ -95,9 +64,9 @@ type Config struct {
 	// MaxCheckInsPerRequest bounds one POST /v1/checkins batch (default
 	// 1024).
 	MaxCheckInsPerRequest int
-	// Faults is the deterministic chaos-test fault injector threaded
-	// through the warm and flush paths. Nil (the production default) makes
-	// every hook a no-op.
+	// Faults is the deterministic chaos-test fault injector; its "warm"
+	// site fires before each dataset's table build. Nil (the production
+	// default) makes every hook a no-op.
 	Faults *faultinject.Injector
 	// Logger receives structured request logs; nil discards them.
 	Logger *slog.Logger
@@ -107,32 +76,11 @@ func (c Config) fillDefaults() Config {
 	if c.MaxInFlight == 0 {
 		c.MaxInFlight = 64
 	}
-	if c.QueueDepth == 0 {
-		c.QueueDepth = 1024
-	}
-	if c.BatchSize == 0 {
-		c.BatchSize = 64
-	}
-	if c.MaxWait == 0 {
-		c.MaxWait = 2 * time.Millisecond
-	}
-	if c.RequestTimeout == 0 {
-		c.RequestTimeout = 10 * time.Second
-	}
 	if c.MaxPairsPerRequest == 0 {
 		c.MaxPairsPerRequest = 256
 	}
-	if c.MaxPairsPerRequest > c.QueueDepth {
-		c.MaxPairsPerRequest = c.QueueDepth
-	}
 	if c.MaxCheckInsPerRequest == 0 {
 		c.MaxCheckInsPerRequest = 1024
-	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = 5
-	}
-	if c.BreakerCooldown == 0 {
-		c.BreakerCooldown = 5 * time.Second
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -144,223 +92,135 @@ func (c Config) fillDefaults() Config {
 type Dataset struct {
 	Name string
 	Data *checkin.Dataset
-	// RefPairs is the reference-inference universe. Empty means every
-	// unordered user pair of the dataset (the CLI's all-pairs posture).
-	RefPairs []checkin.Pair
 }
 
-// dsEntry is the static per-dataset machinery: the coalescer and breaker
-// live for the server's lifetime. What the dataset *contains* — data,
-// reference universe, fallback tier — is the swappable dsState, published
-// inside modelState so one atomic flip retargets model and data together.
-type dsEntry struct {
-	name string
-	co   *coalescer
-	// breaker trips after consecutive primary-scoring failures on this
-	// dataset; nil when breaking is disabled. It deliberately survives
-	// dataset swaps: a failure streak is evidence about the serving stack,
-	// not about one corpus version.
-	breaker *resilience.Breaker
-}
-
-// dsState is one immutable version of a served dataset. SwapWithDataset
-// publishes a new version (the retrain loop's ingest snapshot); in-flight
-// batches keep the version their model state was built against.
+// dsState is one served dataset version and the model's decision table
+// over it.
 type dsState struct {
-	data     *checkin.Dataset
-	refPairs []checkin.Pair
-	// fallback is the degraded co-location tier over this dataset version;
-	// nil when Config.DisableFallback is set.
-	fallback decider
+	data  *checkin.Dataset
+	table *decisionTable
 }
 
-// session is one (model, dataset) scorer, built on first use. A failed
-// build is NOT sticky: the next caller retries it, so a transient warm
-// failure heals once the breaker lets a probe through — the pre-PR-9
-// sync.Once session turned one bad build into a permanently dead
-// (model, dataset) pair.
-type session struct {
-	mu     sync.Mutex
-	scorer *core.PairScorer
-}
-
-// modelState is everything derived from one loaded model plus the dataset
-// versions it serves against. Swapping publishes a whole new state with
-// one atomic store — model, per-dataset data and fallback move together,
-// so a session can never bind an old model to a new corpus or vice versa;
-// in-flight work keeps using the state it started with.
+// modelState is one loaded model plus the dataset versions it serves and
+// their decision tables. Swapping publishes a whole new state with one
+// atomic store, so a table can never pair an old model with a new corpus
+// or vice versa; a request answers wholly from the state it loaded.
 type modelState struct {
-	fs       *core.FriendSeeker
-	id       string
-	ds       map[string]*dsState
-	sessions map[string]*session
-}
-
-// scorer returns the dataset's PairScorer, building it on first use. The
-// build runs under the supplied (server-lifetime) context so a single
-// request's deadline can never poison the session. faults' "warm" site
-// fires before each build attempt (nil-safe), letting chaos tests fail
-// session construction deterministically.
-func (ms *modelState) scorer(ctx context.Context, e *dsEntry, faults *faultinject.Injector) (*core.PairScorer, error) {
-	s := ms.sessions[e.name]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.scorer != nil {
-		return s.scorer, nil
-	}
-	if err := faults.Fire("warm"); err != nil {
-		return nil, fmt.Errorf("serve: warm %q: %w", e.name, err)
-	}
-	ds := ms.ds[e.name]
-	sc, err := ms.fs.NewPairScorer(ctx, ds.data, ds.refPairs)
-	if err != nil {
-		return nil, err
-	}
-	s.scorer = sc
-	return sc, nil
+	fs *core.FriendSeeker
+	id string
+	ds map[string]*dsState
 }
 
 // Server serves friendship-inference decisions over HTTP.
 type Server struct {
-	cfg      Config
-	log      *slog.Logger
-	state    atomic.Pointer[modelState]
-	datasets map[string]*dsEntry
-	ing      *ingest.Ingestor
-	retrain  atomic.Pointer[ingest.Retrainer]
+	cfg     Config
+	log     *slog.Logger
+	state   atomic.Pointer[modelState]
+	ing     *ingest.Ingestor
+	retrain atomic.Pointer[ingest.Retrainer]
 
 	inflight chan struct{}
 	draining atomic.Bool
 	reqWG    sync.WaitGroup // in-flight request handlers
-	flushWG  sync.WaitGroup // coalescer flusher goroutines
-
-	baseCtx context.Context
-	stop    context.CancelFunc
-	swapMu  sync.Mutex // serialises Swap calls
+	swapMu   sync.Mutex     // serialises Swap calls
+	drainMu  sync.Mutex     // orders reqWG.Add before Shutdown's Wait
 
 	mux *http.ServeMux
 	met *serverMetrics
 }
 
 // New builds a server over a trained (or loaded) model and at least one
-// dataset. modelID is an opaque identity string reported by /healthz and
-// responses (Hash gives one). Sessions are built lazily on first use;
-// call Warm to build them eagerly.
+// dataset, building every dataset's decision table before it returns.
+// modelID is an opaque identity string reported by /healthz and responses
+// (Hash gives one).
 func New(cfg Config, model *core.FriendSeeker, modelID string, datasets []Dataset) (*Server, error) {
-	cfg = cfg.fillDefaults()
 	if model == nil || !model.Trained() {
 		return nil, errors.New("serve: model must be trained")
 	}
 	if len(datasets) == 0 {
 		return nil, errors.New("serve: at least one dataset required")
 	}
-	ctx, cancel := context.WithCancel(context.Background())
+	data := make(map[string]*checkin.Dataset, len(datasets))
+	for _, d := range datasets {
+		if d.Name == "" || d.Data == nil {
+			return nil, errors.New("serve: dataset needs a name and data")
+		}
+		if _, dup := data[d.Name]; dup {
+			return nil, fmt.Errorf("serve: duplicate dataset %q", d.Name)
+		}
+		data[d.Name] = d.Data
+	}
+	s := newServer(cfg)
+	ms, err := s.buildState(context.Background(), model, modelID, data)
+	if err != nil {
+		return nil, err
+	}
+	s.state.Store(ms)
+	return s, nil
+}
+
+// newServer builds a server that has no model state published yet.
+func newServer(cfg Config) *Server {
+	cfg = cfg.fillDefaults()
 	s := &Server{
 		cfg:      cfg,
 		log:      cfg.Logger,
-		datasets: make(map[string]*dsEntry, len(datasets)),
 		inflight: make(chan struct{}, cfg.MaxInFlight),
-		baseCtx:  ctx,
-		stop:     cancel,
 		met:      newServerMetrics(),
 	}
-	dsStates := make(map[string]*dsState, len(datasets))
-	for _, d := range datasets {
-		if d.Name == "" || d.Data == nil {
-			cancel()
-			return nil, errors.New("serve: dataset needs a name and data")
-		}
-		if _, dup := s.datasets[d.Name]; dup {
-			cancel()
-			return nil, fmt.Errorf("serve: duplicate dataset %q", d.Name)
-		}
-		dsStates[d.Name] = s.newDSState(d.Data, d.RefPairs)
-		e := &dsEntry{name: d.Name}
-		if cfg.BreakerThreshold > 0 {
-			name := d.Name
-			e.breaker = resilience.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown).
-				OnOpen(func() {
-					s.met.breakerOpenTotal.Inc()
-					s.log.Warn("circuit breaker opened", "dataset", name)
-				})
-		}
-		name := d.Name
-		e.co = newCoalescer(coalescerConfig{
-			queueDepth: cfg.QueueDepth,
-			batchSize:  cfg.BatchSize,
-			maxWait:    cfg.MaxWait,
-			scoreDelay: cfg.ScoreDelay,
-			met:        s.met,
-			breaker:    e.breaker,
-			// The fallback tier tracks the published dataset version, so a
-			// dataset swap retargets degraded answers too.
-			fallback: func() decider { return s.state.Load().ds[name].fallback },
-			faults:   cfg.Faults,
-		}, func(ctx context.Context) (decider, error) {
-			return s.state.Load().scorer(s.baseCtx, e, cfg.Faults)
-		})
-		s.datasets[d.Name] = e
-		s.flushWG.Add(1)
-		go func() {
-			defer s.flushWG.Done()
-			e.co.run(ctx)
-		}()
-	}
-	s.state.Store(s.newModelState(model, modelID, dsStates))
 	if cfg.Ingest != nil {
 		s.ing = cfg.Ingest
 		s.ing.RegisterMetrics(s.met.registry)
 	}
 	s.met.registerGauges(s)
 	s.buildMux()
-	return s, nil
+	return s
 }
 
-// newDSState builds one dataset version, defaulting the reference universe
-// to all user pairs and attaching the fallback tier unless disabled.
-func (s *Server) newDSState(data *checkin.Dataset, refPairs []checkin.Pair) *dsState {
-	if len(refPairs) == 0 {
-		refPairs = AllUserPairs(data)
-	}
-	ds := &dsState{data: data, refPairs: refPairs}
-	if !s.cfg.DisableFallback {
-		ds.fallback = newCoLocationFallback(data)
-	}
-	return ds
-}
-
-func (s *Server) newModelState(model *core.FriendSeeker, id string, ds map[string]*dsState) *modelState {
-	ms := &modelState{fs: model, id: id, ds: ds, sessions: make(map[string]*session, len(s.datasets))}
-	for name := range s.datasets {
-		ms.sessions[name] = &session{}
-	}
-	return ms
-}
-
-// Warm builds the scorer session of every dataset for the current model,
-// in parallel. Serving works without it; warming front-loads the
-// reference inferences so the first requests do not pay for them.
-func (s *Server) Warm(ctx context.Context) error {
-	return s.warmState(ctx, s.state.Load())
-}
-
-func (s *Server) warmState(ctx context.Context, ms *modelState) error {
-	var wg sync.WaitGroup
-	errs := make([]error, len(s.datasets))
-	i := 0
-	for _, e := range s.datasets {
+// buildState runs one reference inference per dataset, over every user
+// pair and in parallel, and packs each decision vector into the dataset's
+// decision table. The "warm" fault site fires before each inference.
+func (s *Server) buildState(ctx context.Context, model *core.FriendSeeker, id string, data map[string]*checkin.Dataset) (*modelState, error) {
+	ms := &modelState{fs: model, id: id, ds: make(map[string]*dsState, len(data))}
+	var (
+		wg   sync.WaitGroup
+		mu   sync.Mutex
+		errs []error
+	)
+	for name, d := range data {
 		wg.Add(1)
-		go func(slot int, e *dsEntry) {
+		go func() {
 			defer wg.Done()
-			_, err := ms.scorer(ctx, e, s.cfg.Faults)
+			st, err := s.buildTable(ctx, model, d)
+			mu.Lock()
+			defer mu.Unlock()
 			if err != nil {
-				errs[slot] = fmt.Errorf("serve: warm %q: %w", e.name, err)
+				errs = append(errs, fmt.Errorf("serve: warm %q: %w", name, err))
+				return
 			}
-		}(i, e)
-		i++
+			ms.ds[name] = st
+		}()
 	}
 	wg.Wait()
-	return errors.Join(errs...)
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	return ms, nil
+}
+
+func (s *Server) buildTable(ctx context.Context, model *core.FriendSeeker, d *checkin.Dataset) (*dsState, error) {
+	if err := s.cfg.Faults.Fire("warm"); err != nil {
+		return nil, err
+	}
+	decisions, _, err := model.InferContext(ctx, d, AllUserPairs(d))
+	if err != nil {
+		return nil, err
+	}
+	table, err := newDecisionTable(d.Users(), decisions)
+	if err != nil {
+		return nil, err
+	}
+	return &dsState{data: d, table: table}, nil
 }
 
 // errUntrainedModel rejects a swap candidate that is nil or has never
@@ -372,15 +232,15 @@ var errUntrainedModel = errors.New("serve: swap model must be trained")
 // provided.
 var ErrNoReloader = errors.New("serve: no model reloader configured")
 
-// Swap publishes a new model with zero downtime: every dataset session is
-// built for the new model first (the old model keeps serving meanwhile),
-// then the state pointer flips. In-flight batches finish against whichever
-// model they started with — safe because trained models are read-only at
-// inference.
+// Swap publishes a new model with zero downtime: the decision table of
+// every served dataset is built for the new model first (the old model
+// keeps serving meanwhile), then the state pointer flips. A request in
+// flight answers wholly from the state it loaded.
 //
 // Swap never unseats the last-known-good state on failure: an untrained
-// candidate or a failed warm leaves the previous model serving, counts
-// the attempt in fs_serve_swap_failures_total, and returns the error.
+// candidate or a failed table build leaves the previous model serving,
+// counts the attempt in fs_serve_swap_failures_total, and returns the
+// error.
 func (s *Server) Swap(ctx context.Context, model *core.FriendSeeker, modelID string) error {
 	if model == nil || !model.Trained() {
 		s.met.swapFailuresTotal.Inc()
@@ -388,7 +248,7 @@ func (s *Server) Swap(ctx context.Context, model *core.FriendSeeker, modelID str
 	}
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
-	return s.swapLocked(ctx, s.newModelState(model, modelID, s.state.Load().ds))
+	return s.swapLocked(ctx, model, modelID, s.servedData())
 }
 
 // SwapWithDataset publishes a new model together with a new version of one
@@ -397,7 +257,7 @@ func (s *Server) Swap(ctx context.Context, model *core.FriendSeeker, modelID str
 // corpus the previous model saw. Both move in one atomic state flip;
 // failure semantics match Swap (last-known-good model and dataset keep
 // serving).
-func (s *Server) SwapWithDataset(ctx context.Context, model *core.FriendSeeker, modelID, dsName string, data *checkin.Dataset, refPairs []checkin.Pair) error {
+func (s *Server) SwapWithDataset(ctx context.Context, model *core.FriendSeeker, modelID, dsName string, data *checkin.Dataset) error {
 	if model == nil || !model.Trained() {
 		s.met.swapFailuresTotal.Inc()
 		return errUntrainedModel
@@ -406,31 +266,38 @@ func (s *Server) SwapWithDataset(ctx context.Context, model *core.FriendSeeker, 
 		s.met.swapFailuresTotal.Inc()
 		return fmt.Errorf("serve: swap %s: nil dataset", modelID)
 	}
-	if _, ok := s.datasets[dsName]; !ok {
+	s.swapMu.Lock()
+	defer s.swapMu.Unlock()
+	served := s.servedData()
+	if _, ok := served[dsName]; !ok {
 		s.met.swapFailuresTotal.Inc()
 		return fmt.Errorf("serve: swap %s: unknown dataset %q", modelID, dsName)
 	}
-	s.swapMu.Lock()
-	defer s.swapMu.Unlock()
-	cur := s.state.Load()
-	ds := make(map[string]*dsState, len(cur.ds))
-	for name, st := range cur.ds {
-		ds[name] = st
-	}
-	ds[dsName] = s.newDSState(data, refPairs)
-	return s.swapLocked(ctx, s.newModelState(model, modelID, ds))
+	served[dsName] = data
+	return s.swapLocked(ctx, model, modelID, served)
 }
 
-func (s *Server) swapLocked(ctx context.Context, ns *modelState) error {
-	if err := s.warmState(ctx, ns); err != nil {
+// servedData returns the dataset versions of the current state by name.
+func (s *Server) servedData() map[string]*checkin.Dataset {
+	cur := s.state.Load()
+	data := make(map[string]*checkin.Dataset, len(cur.ds))
+	for name, st := range cur.ds {
+		data[name] = st.data
+	}
+	return data
+}
+
+func (s *Server) swapLocked(ctx context.Context, model *core.FriendSeeker, modelID string, data map[string]*checkin.Dataset) error {
+	ms, err := s.buildState(ctx, model, modelID, data)
+	if err != nil {
 		s.met.swapFailuresTotal.Inc()
 		s.log.Error("swap rejected; previous model keeps serving",
-			"candidate", ns.id, "serving", s.state.Load().id, "err", err)
-		return fmt.Errorf("serve: swap %s: %w", ns.id, err)
+			"candidate", modelID, "serving", s.state.Load().id, "err", err)
+		return fmt.Errorf("serve: swap %s: %w", modelID, err)
 	}
-	s.state.Store(ns)
+	s.state.Store(ms)
 	s.met.swapsTotal.Inc()
-	s.log.Info("model swapped", "model", ns.id)
+	s.log.Info("model swapped", "model", modelID)
 	return nil
 }
 
@@ -476,26 +343,25 @@ func (s *Server) SetRetrainer(rt *ingest.Retrainer) {
 	rt.RegisterMetrics(s.met.registry)
 }
 
-// Shutdown drains the server: new infer requests are refused with 503,
-// in-flight requests run to completion (bounded by ctx), then the
-// coalescer goroutines stop. Callers using ListenAndServe do not call
-// this directly; it is exposed for embedders driving their own listener.
+// Shutdown drains the server: new requests are refused with 503 and
+// in-flight requests run to completion, bounded by ctx. Callers using
+// ListenAndServe do not call this directly; it is exposed for embedders
+// driving their own listener.
 func (s *Server) Shutdown(ctx context.Context) error {
+	s.drainMu.Lock()
 	s.draining.Store(true)
+	s.drainMu.Unlock()
 	done := make(chan struct{})
 	go func() {
 		s.reqWG.Wait()
 		close(done)
 	}()
-	var err error
 	select {
 	case <-done:
+		return nil
 	case <-ctx.Done():
-		err = fmt.Errorf("serve: shutdown drain: %w", ctx.Err())
+		return fmt.Errorf("serve: shutdown drain: %w", ctx.Err())
 	}
-	s.stop()
-	s.flushWG.Wait()
-	return err
 }
 
 // ListenAndServe serves on addr until ctx is cancelled, then shuts down
@@ -506,7 +372,6 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string, drainTimeout t
 	go func() { errCh <- hs.ListenAndServe() }()
 	select {
 	case err := <-errCh:
-		s.stop()
 		return err
 	case <-ctx.Done():
 	}
@@ -518,10 +383,11 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string, drainTimeout t
 	return errors.Join(httpErr, drainErr)
 }
 
-// AllUserPairs enumerates every unordered user pair of a dataset — the
-// default reference universe, matching the CLI's all-pairs attack
-// posture. Quadratic in users; serving-scale datasets are expected to be
-// the modest evaluation slices, not raw SNAP dumps.
+// AllUserPairs enumerates every unordered user pair of a dataset in
+// ascending rank order — the universe each decision table covers, matching
+// the CLI's all-pairs attack posture. Quadratic in users; serving-scale
+// datasets are expected to be the modest evaluation slices, not raw SNAP
+// dumps.
 func AllUserPairs(ds *checkin.Dataset) []checkin.Pair {
 	users := ds.Users()
 	pairs := make([]checkin.Pair, 0, len(users)*(len(users)-1)/2)
@@ -541,7 +407,7 @@ func LoadModelFile(path string) (*core.FriendSeeker, string, error) {
 	if err != nil {
 		return nil, "", fmt.Errorf("serve: read model: %w", err)
 	}
-	fs, err := core.Load(bytesReader(raw))
+	fs, err := core.Load(bytes.NewReader(raw))
 	if err != nil {
 		return nil, "", err
 	}
@@ -552,22 +418,6 @@ func LoadModelFile(path string) (*core.FriendSeeker, string, error) {
 func Hash(raw []byte) string {
 	sum := sha256.Sum256(raw)
 	return fmt.Sprintf("%x", sum[:6])
-}
-
-func bytesReader(b []byte) io.Reader { return &byteReader{b: b} }
-
-type byteReader struct {
-	b []byte
-	i int
-}
-
-func (r *byteReader) Read(p []byte) (int, error) {
-	if r.i >= len(r.b) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b[r.i:])
-	r.i += n
-	return n, nil
 }
 
 // --- HTTP layer ---
@@ -585,10 +435,6 @@ type inferResponse struct {
 	Model     string `json:"model"`
 	Dataset   string `json:"dataset"`
 	Decisions []bool `json:"decisions"`
-	// Degraded marks decisions scored by the co-location fallback tier
-	// while the primary scorer was unavailable: still answers, but the
-	// byte-identical-to-Infer contract does not apply to them.
-	Degraded bool `json:"degraded,omitempty"`
 }
 
 // errorResponse is the body of every non-2xx response.
@@ -606,6 +452,19 @@ func (s *Server) buildMux() {
 	s.mux = mux
 }
 
+// enter counts a request into reqWG unless the server is draining. The
+// check and the Add happen under drainMu, so Shutdown's Wait never races
+// an Add and never misses a request that passed the check.
+func (s *Server) enter() bool {
+	s.drainMu.Lock()
+	defer s.drainMu.Unlock()
+	if s.draining.Load() {
+		return false
+	}
+	s.reqWG.Add(1)
+	return true
+}
+
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -619,12 +478,13 @@ func (s *Server) reject(w http.ResponseWriter, code int, msg string) {
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.met.requestsTotal.Inc()
-	if s.draining.Load() {
+	if !s.enter() {
 		s.met.rejectedDrainTotal.Inc()
 		s.reject(w, http.StatusServiceUnavailable, "server is shutting down")
 		return
 	}
-	// Admission gate 1: bounded in-flight requests, fast rejection.
+	defer s.reqWG.Done()
+	// Admission: bounded in-flight requests, fast rejection.
 	select {
 	case s.inflight <- struct{}{}:
 	default:
@@ -632,11 +492,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, http.StatusTooManyRequests, "too many in-flight requests")
 		return
 	}
-	s.reqWG.Add(1)
-	defer func() {
-		<-s.inflight
-		s.reqWG.Done()
-	}()
+	defer func() { <-s.inflight }()
 
 	var req inferRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
@@ -644,7 +500,8 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
 		return
 	}
-	entry, ok := s.datasets[req.Dataset]
+	state := s.state.Load()
+	ds, ok := state.ds[req.Dataset]
 	if !ok {
 		s.met.badRequestTotal.Inc()
 		s.reject(w, http.StatusNotFound, fmt.Sprintf("unknown dataset %q", req.Dataset))
@@ -661,74 +518,25 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("%d pairs exceeds the per-request limit %d", len(req.Pairs), s.cfg.MaxPairsPerRequest))
 		return
 	}
-	pairs := make([]checkin.Pair, len(req.Pairs))
+	decisions := make([]bool, len(req.Pairs))
 	for i, ab := range req.Pairs {
 		if ab[0] == ab[1] {
 			s.met.badRequestTotal.Inc()
 			s.reject(w, http.StatusBadRequest, fmt.Sprintf("pair %d: identical users %d", i, ab[0]))
 			return
 		}
-		pairs[i] = checkin.MakePair(checkin.UserID(ab[0]), checkin.UserID(ab[1]))
+		decisions[i] = ds.table.decide(checkin.UserID(ab[0]), checkin.UserID(ab[1]))
 	}
 
-	// Per-request budget, propagated into the coalescer via the items.
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-
-	// Admission gate 2: bounded coalescer queue, fast rejection.
-	items, ok := entry.co.enqueue(ctx, pairs)
-	if !ok {
-		s.met.rejectedQueueTotal.Inc()
-		s.reject(w, http.StatusTooManyRequests, "scoring queue is full")
-		return
-	}
-
-	decisions := make([]bool, len(items))
-	degraded := false
-	for i, it := range items {
-		select {
-		case res := <-it.done:
-			if errors.Is(res.err, errPrimaryUnavailable) {
-				// Breaker open, no fallback: fail fast with a retry hint
-				// sized to the breaker cooldown rather than queueing behind
-				// a scorer known to be failing.
-				s.met.unavailableTotal.Inc()
-				s.log.Warn("infer unavailable", "dataset", req.Dataset, "err", res.err)
-				w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.BreakerCooldown)))
-				s.reject(w, http.StatusServiceUnavailable, res.err.Error())
-				return
-			}
-			if res.err != nil {
-				s.met.errorTotal.Inc()
-				s.log.Error("infer failed", "dataset", req.Dataset, "err", res.err)
-				s.reject(w, http.StatusInternalServerError, res.err.Error())
-				return
-			}
-			decisions[i] = res.decision
-			degraded = degraded || res.degraded
-		case <-ctx.Done():
-			s.met.timeoutTotal.Inc()
-			s.log.Warn("infer timed out", "dataset", req.Dataset, "pairs", len(pairs),
-				"elapsed_ms", time.Since(start).Milliseconds())
-			s.reject(w, http.StatusGatewayTimeout, "request timed out")
-			return
-		}
-	}
-
-	state := s.state.Load()
 	s.met.okTotal.Inc()
-	s.met.pairsTotal.Add(int64(len(pairs)))
-	if degraded {
-		s.met.degradedTotal.Inc()
-	}
+	s.met.pairsTotal.Add(int64(len(decisions)))
 	s.met.requestSeconds.Observe(time.Since(start).Seconds())
-	s.log.Info("infer", "dataset", req.Dataset, "pairs", len(pairs),
-		"model", state.id, "degraded", degraded, "dur_ms", time.Since(start).Milliseconds())
+	s.log.Info("infer", "dataset", req.Dataset, "pairs", len(decisions),
+		"model", state.id, "dur_ms", time.Since(start).Milliseconds())
 	writeJSON(w, http.StatusOK, inferResponse{
 		Model:     state.id,
 		Dataset:   req.Dataset,
 		Decisions: decisions,
-		Degraded:  degraded,
 	})
 }
 
@@ -761,12 +569,11 @@ func (s *Server) handleCheckins(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.met.checkinRequestsTotal.Inc()
-	if s.draining.Load() {
+	if !s.enter() {
 		s.met.rejectedDrainTotal.Inc()
 		s.reject(w, http.StatusServiceUnavailable, "server is shutting down")
 		return
 	}
-	s.reqWG.Add(1)
 	defer s.reqWG.Done()
 
 	var req checkinsRequest
@@ -811,48 +618,23 @@ func (s *Server) handleCheckins(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// retryAfterSeconds renders a cooldown as a Retry-After value, rounding
-// up so sub-second cooldowns do not advertise "retry immediately".
-func retryAfterSeconds(d time.Duration) int {
-	sec := int((d + time.Second - 1) / time.Second)
-	if sec < 1 {
-		sec = 1
-	}
-	return sec
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	names := make([]string, 0, len(s.datasets))
-	breakers := make(map[string]string, len(s.datasets))
-	notClosed := 0
-	for name, e := range s.datasets {
+	state := s.state.Load()
+	names := make([]string, 0, len(state.ds))
+	for name := range state.ds {
 		names = append(names, name)
-		if e.breaker != nil {
-			st := e.breaker.State()
-			breakers[name] = st.String()
-			if st != resilience.BreakerClosed {
-				notClosed++
-			}
-		}
 	}
 	sort.Strings(names)
 	status := "ok"
 	code := http.StatusOK
-	switch {
-	case s.draining.Load():
+	if s.draining.Load() {
 		status = "draining"
 		code = http.StatusServiceUnavailable
-	case notClosed > 0:
-		// Still 200: the server answers (degraded or fast-failing per
-		// dataset), so load balancers should keep it in rotation, but the
-		// status tells operators the primary tier is impaired.
-		status = "degraded"
 	}
 	body := map[string]any{
 		"status":        status,
-		"model":         s.state.Load().id,
+		"model":         state.id,
 		"datasets":      names,
-		"breakers":      breakers,
 		"swap_failures": s.met.swapFailuresTotal.Value(),
 	}
 	if s.ing != nil {

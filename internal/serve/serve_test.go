@@ -98,13 +98,22 @@ func buildFixture() *serveFixture {
 	return f
 }
 
-func newTestServer(t *testing.T, cfg Config, model *core.FriendSeeker, id string) *Server {
+// newTestServer serves model A over the fixture world. Its decision table
+// comes from the fixture's own Infer over every user pair, which is the
+// table New builds (TestServeEndToEndIdentity checks that through New), so
+// tests of the HTTP and swap surfaces do not each pay for a reference
+// inference.
+func newTestServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
 	f := getFixture(t)
-	s, err := New(cfg, model, id, []Dataset{{Name: "tiny", Data: f.world.Dataset}})
+	table, err := newDecisionTable(f.world.Dataset.Users(), f.directA)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := newServer(cfg)
+	s.state.Store(&modelState{fs: f.modelA, id: "model-a", ds: map[string]*dsState{
+		"tiny": {data: f.world.Dataset, table: table},
+	}})
 	return s
 }
 
@@ -142,14 +151,14 @@ func mustPostInfer(t *testing.T, client *http.Client, url string, body any) (int
 }
 
 // TestServeEndToEndIdentity is the subsystem's acceptance contract: many
-// concurrent HTTP clients, coalesced into shared batches, must each get
-// decisions byte-identical to a direct Infer call — plus the surrounding
-// HTTP semantics (healthz, metrics, malformed requests, drain rejection).
-// Run under -race via the serve race target.
+// concurrent HTTP clients must each get decisions byte-identical to a
+// direct Infer call, pairs with a user outside the dataset decide false —
+// plus the surrounding HTTP semantics (healthz, metrics, malformed
+// requests, drain rejection). Run under -race via the serve race target.
 func TestServeEndToEndIdentity(t *testing.T) {
 	f := getFixture(t)
-	s := newTestServer(t, Config{BatchSize: 32, MaxWait: time.Millisecond, RequestTimeout: time.Minute}, f.modelA, "model-a")
-	if err := s.Warm(context.Background()); err != nil {
+	s, err := New(Config{}, f.modelA, "model-a", []Dataset{{Name: "tiny", Data: f.world.Dataset}})
+	if err != nil {
 		t.Fatal(err)
 	}
 	hs := httptest.NewServer(s.Handler())
@@ -204,7 +213,25 @@ func TestServeEndToEndIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Users outside the dataset decide false, in either argument order.
+	users := f.world.Dataset.Users()
+	known, absent := int64(users[0]), int64(users[len(users)-1])+1
+	code, ir, body := mustPostInfer(t, client, hs.URL, inferRequest{Dataset: "tiny",
+		Pairs: [][2]int64{{known, absent}, {absent, known}, {absent, absent + 1}, {-1, known}}})
+	if code != http.StatusOK {
+		t.Fatalf("absent users: status %d (%s)", code, body)
+	}
+	for i, dec := range ir.Decisions {
+		if dec {
+			t.Errorf("absent-user pair %d decided true", i)
+		}
+	}
+
 	// Malformed requests.
+	tooMany := make([][2]int64, s.cfg.MaxPairsPerRequest+1)
+	for i := range tooMany {
+		tooMany[i] = [2]int64{1, int64(i + 2)}
+	}
 	for _, tc := range []struct {
 		name string
 		body any
@@ -214,6 +241,7 @@ func TestServeEndToEndIdentity(t *testing.T) {
 		{"no pairs", inferRequest{Dataset: "tiny"}, http.StatusBadRequest},
 		{"identical users", inferRequest{Dataset: "tiny", Pairs: [][2]int64{{7, 7}}}, http.StatusBadRequest},
 		{"not json", "not json", http.StatusBadRequest},
+		{"too many pairs", inferRequest{Dataset: "tiny", Pairs: tooMany}, http.StatusBadRequest},
 	} {
 		code, _, raw := mustPostInfer(t, client, hs.URL, tc.body)
 		if code != tc.want {
@@ -252,10 +280,8 @@ func TestServeEndToEndIdentity(t *testing.T) {
 		"fs_serve_requests_total",
 		"fs_serve_ok_total",
 		"fs_serve_pairs_total",
-		"fs_serve_batches_total",
 		"fs_serve_request_seconds_bucket{le=",
 		"fs_serve_request_seconds_count",
-		"fs_serve_batch_pairs_bucket",
 		"fs_serve_inflight",
 	} {
 		if !strings.Contains(metrics, want) {
@@ -270,7 +296,7 @@ func TestServeEndToEndIdentity(t *testing.T) {
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	code, _, _ := mustPostInfer(t, client, hs.URL, inferRequest{Dataset: "tiny", Pairs: [][2]int64{{1, 2}}})
+	code, _, _ = mustPostInfer(t, client, hs.URL, inferRequest{Dataset: "tiny", Pairs: [][2]int64{{1, 2}}})
 	if code != http.StatusServiceUnavailable {
 		t.Errorf("post-drain status = %d, want 503", code)
 	}
@@ -286,10 +312,7 @@ func TestServeEndToEndIdentity(t *testing.T) {
 func TestServeHotSwapUnderLoad(t *testing.T) {
 	f := getFixture(t)
 	reload := func() (*core.FriendSeeker, string, error) { return f.modelB, "model-b", nil }
-	s := newTestServer(t, Config{BatchSize: 16, MaxWait: time.Millisecond, RequestTimeout: time.Minute, Reload: reload}, f.modelA, "model-a")
-	if err := s.Warm(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	s := newTestServer(t, Config{Reload: reload})
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
 	client := hs.Client()
@@ -330,7 +353,8 @@ func TestServeHotSwapUnderLoad(t *testing.T) {
 		}(w)
 	}
 
-	// Swap via the admin endpoint mid-load (warms model B, then flips).
+	// Swap via the admin endpoint mid-load (builds model B's table, then
+	// flips).
 	resp, err := client.Post(hs.URL+"/v1/admin/swap", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -382,8 +406,7 @@ func TestServeHotSwapUnderLoad(t *testing.T) {
 // TestServeSwapWithoutReloader: the admin endpoint without a configured
 // reloader answers 501.
 func TestServeSwapWithoutReloader(t *testing.T) {
-	f := getFixture(t)
-	s := newTestServer(t, Config{}, f.modelA, "model-a")
+	s := newTestServer(t, Config{})
 	defer s.Shutdown(context.Background())
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
@@ -400,8 +423,7 @@ func TestServeSwapWithoutReloader(t *testing.T) {
 // TestServeAdmissionInFlight: with the in-flight bound exhausted, requests
 // are rejected 429 immediately.
 func TestServeAdmissionInFlight(t *testing.T) {
-	f := getFixture(t)
-	s := newTestServer(t, Config{MaxInFlight: 2}, f.modelA, "model-a")
+	s := newTestServer(t, Config{MaxInFlight: 2})
 	defer s.Shutdown(context.Background())
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
@@ -421,113 +443,86 @@ func TestServeAdmissionInFlight(t *testing.T) {
 	<-s.inflight
 }
 
-// TestServeAdmissionQueueFull: a request whose pairs do not all fit in the
-// coalescer queue is rejected 429 as a unit, and a request above the
-// per-request pair bound is a 400.
-func TestServeAdmissionQueueFull(t *testing.T) {
-	f := getFixture(t)
-	s := newTestServer(t, Config{QueueDepth: 2}, f.modelA, "model-a")
-	// Stop the flusher so queued items stay queued, then fill the queue.
-	s.stop()
-	s.flushWG.Wait()
-	e := s.datasets["tiny"]
-	for i := 0; i < 2; i++ {
-		e.co.in <- &item{ctx: context.Background(), done: make(chan itemResult, 1)}
-	}
-	hs := httptest.NewServer(s.Handler())
-	defer hs.Close()
-
-	code, _, raw := mustPostInfer(t, hs.Client(), hs.URL,
-		inferRequest{Dataset: "tiny", Pairs: [][2]int64{{1, 2}}})
-	if code != http.StatusTooManyRequests {
-		t.Fatalf("status = %d, want 429 (%s)", code, raw)
-	}
-	if s.met.rejectedQueueTotal.Value() != 1 {
-		t.Errorf("rejectedQueueTotal = %d, want 1", s.met.rejectedQueueTotal.Value())
-	}
-
-	// MaxPairsPerRequest is clamped to QueueDepth (2), so 3 pairs is a 400.
-	code, _, raw = mustPostInfer(t, hs.Client(), hs.URL,
-		inferRequest{Dataset: "tiny", Pairs: [][2]int64{{1, 2}, {3, 4}, {5, 6}}})
-	if code != http.StatusBadRequest {
-		t.Fatalf("oversized request status = %d, want 400 (%s)", code, raw)
-	}
-}
-
-// TestServeRequestTimeout: a request whose budget expires before its batch
-// is scored gets a 504.
-func TestServeRequestTimeout(t *testing.T) {
-	f := getFixture(t)
-	s := newTestServer(t, Config{RequestTimeout: 30 * time.Millisecond}, f.modelA, "model-a")
-	// Stop the flusher: accepted pairs will never be answered.
-	s.stop()
-	s.flushWG.Wait()
-	hs := httptest.NewServer(s.Handler())
-	defer hs.Close()
-
-	code, _, raw := mustPostInfer(t, hs.Client(), hs.URL,
-		inferRequest{Dataset: "tiny", Pairs: [][2]int64{{1, 2}}})
-	if code != http.StatusGatewayTimeout {
-		t.Fatalf("status = %d, want 504 (%s)", code, raw)
-	}
-	if s.met.timeoutTotal.Value() != 1 {
-		t.Errorf("timeoutTotal = %d, want 1", s.met.timeoutTotal.Value())
-	}
-}
-
-// TestServeShutdownDrainsAcceptedWork: a request already accepted when
+// TestServeShutdownDrainsAcceptedWork: a request already admitted when
 // Shutdown begins still completes with a correct answer; Shutdown waits
-// for it.
+// for it. The request is held in JSON decode by a body that arrives in two
+// halves, the second only after Shutdown has started.
 func TestServeShutdownDrainsAcceptedWork(t *testing.T) {
 	f := getFixture(t)
-	// Huge batch + long wait: the accepted pair sits in the coalescer until
-	// the flush timer fires, well after Shutdown has begun.
-	s := newTestServer(t, Config{BatchSize: 1024, MaxWait: 300 * time.Millisecond, RequestTimeout: time.Minute}, f.modelA, "model-a")
-	if err := s.Warm(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	s := newTestServer(t, Config{})
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
 
 	p := f.pairs[0]
+	body, bodyW := io.Pipe()
 	type result struct {
 		code int
 		ir   inferResponse
+		err  error
 	}
 	resCh := make(chan result, 1)
 	go func() {
-		code, ir, _, err := postInferJSON(hs.Client(), hs.URL,
-			inferRequest{Dataset: "tiny", Pairs: [][2]int64{{int64(p.A), int64(p.B)}}})
+		resp, err := hs.Client().Post(hs.URL+"/v1/infer", "application/json", body)
 		if err != nil {
-			code = -1
+			resCh <- result{err: err}
+			return
 		}
-		resCh <- result{code, ir}
+		defer resp.Body.Close()
+		var ir inferResponse
+		err = json.NewDecoder(resp.Body).Decode(&ir)
+		resCh <- result{code: resp.StatusCode, ir: ir, err: err}
 	}()
-	// Wait until the request is admitted and queued.
+	if _, err := io.WriteString(bodyW, `{"dataset":"tiny","pairs":[[`); err != nil {
+		t.Fatal(err)
+	}
+	// Wait until the request is admitted: it now blocks in decode.
 	deadline := time.Now().Add(5 * time.Second)
-	for len(s.datasets["tiny"].co.in) == 0 && time.Now().Before(deadline) {
+	for len(s.inflight) == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
-		t.Fatalf("drain: %v", err)
+	if len(s.inflight) == 0 {
+		t.Fatal("request never admitted")
 	}
+
+	drained := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		drained <- s.Shutdown(ctx)
+	}()
+	// Shutdown must wait for the admitted request.
+	for !s.draining.Load() {
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case err := <-drained:
+		t.Fatalf("Shutdown returned (%v) before the admitted request finished", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if _, err := fmt.Fprintf(bodyW, "%d,%d]]}", p.A, p.B); err != nil {
+		t.Fatal(err)
+	}
+	bodyW.Close()
+
 	res := <-resCh
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
 	if res.code != http.StatusOK {
 		t.Fatalf("drained request status = %d, want 200", res.code)
 	}
-	if res.ir.Decisions[0] != f.directA[0] {
-		t.Fatalf("drained decision %v, Infer %v", res.ir.Decisions[0], f.directA[0])
+	if len(res.ir.Decisions) != 1 || res.ir.Decisions[0] != f.directA[0] {
+		t.Fatalf("drained decisions %v, Infer %v", res.ir.Decisions, f.directA[0])
+	}
+	if err := <-drained; err != nil {
+		t.Fatalf("drain: %v", err)
 	}
 }
 
 // TestServeShutdownBoundedByContext: Shutdown gives up waiting for a
 // straggler when its context expires, reporting the drain error.
 func TestServeShutdownBoundedByContext(t *testing.T) {
-	f := getFixture(t)
-	s := newTestServer(t, Config{}, f.modelA, "model-a")
+	s := newTestServer(t, Config{})
 	s.reqWG.Add(1) // a handler that never finishes
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
@@ -536,72 +531,4 @@ func TestServeShutdownBoundedByContext(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "drain") {
 		t.Fatalf("Shutdown error = %v, want drain timeout", err)
 	}
-}
-
-// TestCoalescerEnqueueAllOrNothing: a multi-pair request either takes all
-// its queue slots or none.
-func TestCoalescerEnqueueAllOrNothing(t *testing.T) {
-	c := newCoalescer(coalescerConfig{queueDepth: 4, batchSize: 4, maxWait: time.Hour},
-		func(context.Context) (decider, error) { return nil, nil })
-	ctx := context.Background()
-	pairs := func(n int) []checkin.Pair {
-		ps := make([]checkin.Pair, n)
-		for i := range ps {
-			ps[i] = checkin.MakePair(checkin.UserID(2*i+1), checkin.UserID(2*i+2))
-		}
-		return ps
-	}
-	if _, ok := c.enqueue(ctx, pairs(3)); !ok {
-		t.Fatal("first enqueue of 3 into depth 4 should fit")
-	}
-	if _, ok := c.enqueue(ctx, pairs(2)); ok {
-		t.Fatal("enqueue of 2 with 1 free slot should be rejected as a unit")
-	}
-	// The failed request's first pair transiently holds the last slot until
-	// a flush drops it (the handler cancels the request context on 429), so
-	// right now the queue is full and further requests are rejected too.
-	if _, ok := c.enqueue(ctx, pairs(1)); ok {
-		t.Fatal("queue should be full: 3 live pairs + 1 abandoned partial")
-	}
-	if got := len(c.in); got != 4 {
-		t.Fatalf("queued items = %d, want 4", got)
-	}
-}
-
-// TestCoalescerDropsExpiredItems: items whose request context died before
-// the flush are answered with the context error and cost no model work.
-func TestCoalescerDropsExpiredItems(t *testing.T) {
-	var scored [][]checkin.Pair
-	d := deciderFunc(func(_ context.Context, ps []checkin.Pair) ([]bool, error) {
-		scored = append(scored, ps)
-		return make([]bool, len(ps)), nil
-	})
-	c := newCoalescer(coalescerConfig{queueDepth: 8, batchSize: 8, maxWait: time.Hour},
-		func(context.Context) (decider, error) { return d, nil })
-
-	live, cancelled := context.Background(), func() context.Context {
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		return ctx
-	}()
-	a := &item{pair: checkin.MakePair(1, 2), ctx: cancelled, done: make(chan itemResult, 1)}
-	b := &item{pair: checkin.MakePair(3, 4), ctx: live, done: make(chan itemResult, 1)}
-	c.flush(context.Background(), []*item{a, b})
-
-	if res := <-a.done; res.err == nil {
-		t.Error("expired item not answered with its context error")
-	}
-	if res := <-b.done; res.err != nil {
-		t.Errorf("live item errored: %v", res.err)
-	}
-	if len(scored) != 1 || len(scored[0]) != 1 || scored[0][0] != b.pair {
-		t.Errorf("scored batches = %v, want just the live pair", scored)
-	}
-}
-
-// deciderFunc adapts a function to the decider interface.
-type deciderFunc func(ctx context.Context, pairs []checkin.Pair) ([]bool, error)
-
-func (f deciderFunc) Decide(ctx context.Context, pairs []checkin.Pair) ([]bool, error) {
-	return f(ctx, pairs)
 }
